@@ -697,14 +697,11 @@ func newSyncCostStore(b *testing.B, opts hfad.Options) *hfad.Store {
 // BenchmarkE13_GroupCommit is the group-commit exhibit: N concurrent
 // writers ingest (create + append + tag) against a wal-on volume. The
 // group path shares one log append + one sync per batch of concurrent
-// commits; the serialized-* variants reproduce the pre-group-commit
-// pipeline (full dirty-cache scan, force-at-commit, one sync per op,
-// commits serialized) for the A/B. syncs/op is the amortization receipt:
-// ≈1 for the serialized path, ≪1 for group commit under concurrency.
+// commits. syncs/op is the amortization receipt: ≪1 under concurrency.
 func BenchmarkE13_GroupCommit(b *testing.B) {
 	payload := workload.NewRng(13).Bytes(512)
-	run := func(b *testing.B, writers int, serial bool) {
-		opts := hfad.Options{Transactional: true, SerialCommit: serial}
+	run := func(b *testing.B, writers int) {
+		opts := hfad.Options{Transactional: true}
 		st := newSyncCostStore(b, opts)
 		syncs0 := st.Volume().WAL().Stats().Syncs
 		var syncs int64
@@ -763,12 +760,7 @@ func BenchmarkE13_GroupCommit(b *testing.B) {
 	}
 	for _, writers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("writers-%d", writers), func(b *testing.B) {
-			run(b, writers, false)
-		})
-	}
-	for _, writers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("serialized-writers-%d", writers), func(b *testing.B) {
-			run(b, writers, true)
+			run(b, writers)
 		})
 	}
 }
@@ -1123,13 +1115,12 @@ func BenchmarkAblation_RenameSubtree(b *testing.B) {
 }
 
 // BenchmarkE15_LogAmplification measures WAL bytes per small naming edit
-// at 16 concurrent writers: the page-image pipeline (whole dirtied pages,
-// conservatively shared across open transactions) versus physiological
-// redo records (the typed edit itself). One UDEF shard so the writers
-// genuinely contend on shared leaves. log-bytes/op is the exhibit.
+// at 1 and 16 concurrent writers: physiological redo records log the
+// typed edit itself. One UDEF shard so the writers genuinely contend on
+// shared leaves. log-bytes/op is the exhibit.
 func BenchmarkE15_LogAmplification(b *testing.B) {
-	run := func(b *testing.B, imageLogging bool, writers int) {
-		opts := hfad.Options{Transactional: true, ImageLogging: imageLogging, IndexShards: 1}
+	run := func(b *testing.B, writers int) {
+		opts := hfad.Options{Transactional: true, IndexShards: 1}
 		st := newSyncCostStore(b, opts)
 		oids := make([]hfad.OID, 16)
 		for i := range oids {
@@ -1194,29 +1185,22 @@ func BenchmarkE15_LogAmplification(b *testing.B) {
 	}
 	for _, writers := range []int{1, 16} {
 		b.Run(fmt.Sprintf("physiological-writers-%d", writers), func(b *testing.B) {
-			run(b, false, writers)
-		})
-	}
-	for _, writers := range []int{1, 16} {
-		b.Run(fmt.Sprintf("image-writers-%d", writers), func(b *testing.B) {
-			run(b, true, writers)
+			run(b, writers)
 		})
 	}
 }
 
 // BenchmarkE16_ExtentLogAmplification measures WAL bytes per small
 // *data-path* edit at 16 concurrent writers, each appending 64 bytes to
-// its own large multi-node extent tree: per-object page-image logging
-// (a 4 KiB record per touched tree level per op — the retired route)
-// versus physiological extent records (the cell rewrite, count deltas,
-// and two short header ranges). log-bytes/op is the exhibit.
+// its own large multi-node extent tree: physiological extent records log
+// the cell rewrite, count deltas, and two short header ranges.
+// log-bytes/op is the exhibit.
 func BenchmarkE16_ExtentLogAmplification(b *testing.B) {
 	const writers = 16
-	run := func(b *testing.B, imageLogging bool) {
+	b.Run("physiological", func(b *testing.B) {
 		st := newSyncCostStore(b, hfad.Options{
 			Transactional:  true,
 			WALBlocks:      8192,
-			ImageLogging:   imageLogging,
 			MaxExtentBytes: 4096,
 		})
 		defer st.Close()
@@ -1265,9 +1249,7 @@ func BenchmarkE16_ExtentLogAmplification(b *testing.B) {
 		b.StopTimer()
 		logged := st.Volume().WAL().Stats().BytesLogged - bytes0
 		b.ReportMetric(float64(logged)/float64(b.N), "log-bytes/op")
-	}
-	b.Run("physiological", func(b *testing.B) { run(b, false) })
-	b.Run("image", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // BenchmarkE17_ServerFanIn measures the hfadd ingest path per-op: 16

@@ -404,12 +404,13 @@ func TestBatchConcurrentCloseNoDeadlock(t *testing.T) {
 }
 
 // TestDirtyHighWaterTriggersCheckpoint: with a log far larger than the
-// cache, sustained ingest must still checkpoint when dirty pages pass
-// the cache high-water mark — no-steal cannot evict them, so without the
-// drain the cache would grow with the log instead of CachePages.
+// cache, sustained ingest must keep dirty residency within CachePages
+// instead of letting it grow with the log. No checkpoint drains it here
+// (the log is nowhere near its high-water mark); steal eviction does.
 func TestDirtyHighWaterTriggersCheckpoint(t *testing.T) {
+	const cachePages = 64
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(dev, Options{Transactional: true, WALBlocks: 4096, CachePages: 64})
+	v, err := Create(dev, Options{Transactional: true, WALBlocks: 4096, CachePages: cachePages})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,17 +426,12 @@ func TestDirtyHighWaterTriggersCheckpoint(t *testing.T) {
 		}
 		obj.Close()
 	}
-	// The 16 MiB log is nowhere near its own high-water mark; only the
-	// dirty-page trigger can have fired.
 	if used, c := v.WAL().Used(), v.WAL().Capacity(); used*3 >= c*2 {
 		t.Fatalf("test premise broken: log %d/%d already past high water", used, c)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for v.WAL().Stats().Checkpoints == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if v.WAL().Stats().Checkpoints == 0 {
-		t.Error("no checkpoint despite dirty pages far past the cache capacity")
+	st := v.Pager().Stats()
+	if st.Steals == 0 || st.Cached > cachePages {
+		t.Errorf("cache holds %d pages (%d dirty) after %d steals, want at most %d", st.Cached, st.Dirty, st.Steals, cachePages)
 	}
 }
 
@@ -517,27 +513,5 @@ func TestLazyIndexingTransactional(t *testing.T) {
 	ids, err := v2.Resolve(TagValue{index.TagFulltext, []byte("unusualword")})
 	if err != nil || len(ids) != 1 || ids[0] != oid {
 		t.Fatalf("lazy-indexed posting lost after crash: %v, %v", ids, err)
-	}
-}
-
-// TestSerialCommitCompatMode: the E13 baseline path must remain fully
-// functional (it is measured, so it must be correct).
-func TestSerialCommitCompatMode(t *testing.T) {
-	v, dev := newTxnVolume(t, Options{SerialCommit: true})
-	oid := mustCreateObject(t, v, "serial", "old pipeline")
-	if err := v.AddName(oid, index.TagUDef, []byte("serial")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := Open(dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	ids, err := v2.Resolve(TagValue{index.TagUDef, []byte("serial")})
-	if err != nil || len(ids) != 1 || ids[0] != oid {
-		t.Fatalf("serial-commit data lost: %v, %v", ids, err)
 	}
 }

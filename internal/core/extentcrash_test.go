@@ -355,6 +355,9 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			seed := byte(round*writers + w)
+			// One generator per writer: *rand.Rand is not safe for
+			// concurrent use.
+			wrng := rand.New(rand.NewPCG(uint64(round), uint64(w)))
 			go func() {
 				defer wg.Done()
 				obj, err := v.OSD.CreateObject("churn", osd.ModeRegular)
@@ -393,7 +396,7 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 						}
 					case 2: // truncate away the tail
 						if len(oracle) > 1000 {
-							cut := uint64(len(oracle) - rng.IntN(900) - 1)
+							cut := uint64(len(oracle) - wrng.IntN(900) - 1)
 							if err := obj.Truncate(cut); err != nil {
 								return
 							}

@@ -421,7 +421,6 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 func newAbortEnv(t *testing.T) *crEnv {
 	e := newCrashEnv(t)
 	e.pg.EnableSteal(e.log)
-	e.pg.EnableUndo()
 	return e
 }
 
@@ -506,7 +505,6 @@ func recoverUndoImage(t *testing.T, snap []byte, hdrPno uint64, stopAfter int) (
 	}
 	pg := pager.New(dev, 512, true)
 	pg.EnableSteal(log)
-	pg.EnableUndo()
 	// Seed the LSN counter past everything replayed, exactly core.Open's
 	// order — the undo's compensations must sort after history.
 	pg.SeedLSN(log.MaxLSN())

@@ -135,8 +135,7 @@ type Tree struct {
 	// Mutators stage typed extent records (redo.KindExtentOp) and header
 	// range records into it; splits and merges ride system transactions
 	// derived from it (curOp.NewSys). Nil = unlogged — non-transactional
-	// volume, or the page-image logging baseline where the pager's
-	// broadcast capture does the work instead.
+	// volume.
 	curOp *pager.Op
 	// rebalOp/rebalOff dedup deferred rebalances: a multi-cell delete
 	// registers ONE post-commit RebalanceAt per operation, retargeted

@@ -121,8 +121,7 @@ type Options struct {
 	// last mutation. A non-nil error refuses the bracket — the volume is
 	// read-only (degraded) — and the operation must fail before touching
 	// any page. The volume wires this to physiological redo capture
-	// and WAL group commit; the capture is nil in the page-image logging
-	// modes. Nil means non-transactional.
+	// and WAL group commit. Nil means non-transactional.
 	Begin func() (*pager.Op, func(error) error, error)
 	// ExtentConfig tunes the per-object extent trees.
 	ExtentConfig extent.Config
@@ -347,19 +346,33 @@ func (s *Store) OpenObject(oid OID) (*Object, error) {
 	}
 	s.mu.Unlock()
 
+	// The metadata lookup and the header page's device read may wait on
+	// tree locks and the device, so they run outside mu. The header is
+	// only pulled into the cache here, not decoded: a handle opened
+	// meanwhile may be rewriting it.
 	m, err := s.Stat(oid)
 	if err != nil {
 		return nil, err
 	}
-	ext, err := extent.Open(s.pg, s.ba, m.ExtentHeader, s.opts.ExtentConfig)
+	hp, err := s.pg.Acquire(m.ExtentHeader)
 	if err != nil {
 		return nil, err
 	}
+	s.pg.Release(hp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if obj, ok := s.open[oid]; ok { // lost a race; use the winner
 		obj.refs++
 		return obj, nil
+	}
+	// Decode the tree under mu, where no handle can be writing the
+	// header: one that another goroutine opened, appended through and
+	// closed since the lookup above has changed it, and a tree decoded
+	// before that would keep the pre-append size — the next append would
+	// land mid-extent.
+	ext, err := extent.Open(s.pg, s.ba, m.ExtentHeader, s.opts.ExtentConfig)
+	if err != nil {
+		return nil, err
 	}
 	obj := &Object{s: s, oid: oid, ext: ext, refs: 1}
 	s.open[oid] = obj

@@ -6,11 +6,13 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/buddy"
+	"repro/internal/extent"
 	"repro/internal/pager"
 )
 
@@ -462,5 +464,122 @@ func TestConcurrentAppendsResolveDistinctOffsets(t *testing.T) {
 		if got := counts[byte(w+1)]; got != perWriter {
 			t.Fatalf("writer %d: %d of %d appends survived", w, got, perWriter)
 		}
+	}
+}
+
+// gateDev parks the first read of one block, once armed, until release
+// closes.
+type gateDev struct {
+	blockdev.Device
+	block            uint64
+	armed            atomic.Bool
+	reached, release chan struct{}
+}
+
+func (d *gateDev) ReadBlock(no uint64, p []byte) error {
+	if no == d.block && d.armed.CompareAndSwap(true, false) {
+		close(d.reached)
+		<-d.release
+	}
+	return d.Device.ReadBlock(no, p)
+}
+
+// TestOpenObjectRacesTransientHandle: a cold OpenObject whose tree build
+// overlaps another goroutine's open, append and close of the same object
+// must not install a tree that predates the append — the next append
+// through it would land mid-extent ("insert target … not on boundary").
+// The cold open is parked inside its read of the extent header page; the
+// test then plays the other goroutine at the one point the open might
+// leave unguarded, after the header is read and before the handle is
+// installed.
+func TestOpenObjectRacesTransientHandle(t *testing.T) {
+	gd := &gateDev{
+		Device:  blockdev.NewMem(16384, blockdev.DefaultBlockSize),
+		reached: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	pg := pager.New(gd, 512, true)
+	s, err := Create(pg, buddy.New(1, 16383), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail, more := bytes.Repeat([]byte("h"), 100), bytes.Repeat([]byte("t"), 50), bytes.Repeat([]byte("m"), 30)
+	obj, err := s.CreateObject("u", ModeRegular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, hdr := obj.OID(), obj.ExtentTree().HeaderPage()
+	if err := obj.Append(head); err != nil {
+		t.Fatal(err)
+	}
+	obj.Close()
+	// Send the header home and out of the cache so the next open reads it.
+	if err := pg.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.Invalidate(hdr); err != nil {
+		t.Fatal(err)
+	}
+
+	gd.block = hdr
+	gd.armed.Store(true)
+	opened := make(chan *Object, 1)
+	go func() {
+		o, err := s.OpenObject(oid)
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- o
+	}()
+	<-gd.reached
+	locked := s.mu.TryLock() // fails when the open builds under the lock
+	close(gd.release)
+	if locked {
+		// Wait until the open has read the header and unpinned it.
+		for pg.Invalidate(hdr) != nil {
+			runtime.Gosched()
+		}
+	} else {
+		s.mu.Lock()
+	}
+	if _, installed := s.open[oid]; installed {
+		s.mu.Unlock()
+		h, err := s.OpenObject(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = h.Append(tail)
+		h.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		// No handle to share: the other goroutine builds its own tree,
+		// appends through it and drops it again.
+		ext, err := extent.Open(pg, s.ba, hdr, s.opts.ExtentConfig)
+		if err == nil {
+			_, err = ext.AppendOp(nil, tail)
+		}
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := <-opened
+	if a == nil {
+		t.FailNow()
+	}
+	defer a.Close()
+	if err := a.Append(more); err != nil {
+		t.Fatalf("append through the opened handle: %v", err)
+	}
+	want := bytes.Join([][]byte{head, tail, more}, nil)
+	got := make([]byte, len(want)+1)
+	n, err := a.ReadAt(got, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		t.Fatal(err)
+	}
+	if a.Size() != uint64(len(want)) || !bytes.Equal(got[:n], want) {
+		t.Fatalf("size %d, content %q; want %d, %q", a.Size(), got[:n], len(want), want)
 	}
 }

@@ -124,18 +124,6 @@ type Pager struct {
 	evictDirty  bool
 	shards      [numShards]shard
 
-	// Open dirty-capture transactions (see BeginTxn). ntxns mirrors
-	// len(txns) so MarkDirty can skip the registry entirely when no
-	// capture is open (the non-transactional hot path).
-	txnMu sync.Mutex
-	txns  map[*Txn]struct{}
-	ntxns atomic.Int32
-
-	// ndirty counts dirty cached pages, maintained at every transition
-	// so DirtyCount is lock-free — the volume consults it per commit to
-	// decide when the no-steal cache needs a checkpoint to drain.
-	ndirty atomic.Int64
-
 	// lsn is the volume-wide LSN counter for physiological logging.
 	// Records are stamped from it at mutation time, inside the page's
 	// shard latch, so per-page LSN order equals byte-mutation order.
@@ -158,11 +146,10 @@ type Pager struct {
 
 	// stealApp, when set (EnableSteal), receives mid-transaction chunk
 	// appends: the staged records of open operations, flushed early so
-	// the dirty pages they cover become stealable. undoOn additionally
-	// enables logical-inverse capture (Op.StageUndo) so flushed-but-
-	// uncommitted operations can be rolled back.
+	// the dirty pages they cover become stealable. It also enables
+	// logical-inverse capture (Op.StageUndo) so flushed-but-uncommitted
+	// operations can be rolled back.
 	stealApp ChunkAppender
-	undoOn   bool
 
 	// Open per-operation captures, enumerated by steal flush rounds.
 	// Only regular ops register; system transactions must stay atomic
@@ -207,7 +194,6 @@ func New(dev blockdev.Device, capacity int, evictDirty bool) *Pager {
 		p.shards[i].lru = list.New()
 		p.shards[i].dirty = make(map[uint64]*Page)
 	}
-	p.txns = make(map[*Txn]struct{})
 	p.ops = make(map[*Op]struct{})
 	return p
 }
@@ -215,13 +201,11 @@ func New(dev blockdev.Device, capacity int, evictDirty bool) *Pager {
 // EnableSteal installs the chunk appender and switches eviction to the
 // ARIES steal policy: an uncommitted dirty page may be written home once
 // its staged records are durably logged; open operations' records are
-// chunk-flushed on demand to get them there.
+// chunk-flushed on demand to get them there. Steal needs undo, so it
+// also turns on logical-inverse capture: structure layers' calls to
+// Op.StageUndo record inverses so operations can be rolled back at abort
+// (and flushed-but-uncommitted losers at recovery).
 func (p *Pager) EnableSteal(app ChunkAppender) { p.stealApp = app }
-
-// EnableUndo turns on logical-inverse capture: structure layers' calls
-// to Op.StageUndo record inverses so operations can be rolled back at
-// abort (and flushed-but-uncommitted losers at recovery).
-func (p *Pager) EnableUndo() { p.undoOn = true }
 
 func (p *Pager) shardOf(no uint64) *shard {
 	return &p.shards[no&(numShards-1)]
@@ -367,7 +351,6 @@ func (p *Pager) makeRoomLocked(s *shard) (bool, error) {
 			victim.fresh = false
 			victim.unflushed = 0
 			delete(s.dirty, victim.no)
-			p.ndirty.Add(-1)
 		}
 		s.lru.Remove(victim.elem)
 		victim.elem = nil
@@ -488,7 +471,6 @@ func (p *Pager) MarkDirty(pg *Page) {
 	if p.appendBase(base) && p.stealApp != nil {
 		p.noteAppended(pg.no, p.appendSeq.Add(1))
 	}
-	p.noteDirty(pg)
 }
 
 // EnableBaseImages turns on first-touch base-image logging (see the
@@ -504,7 +486,6 @@ func (p *Pager) setDirtyLocked(s *shard, pg *Page) *redo.Record {
 	}
 	pg.dirty = true
 	s.dirty[pg.no] = pg
-	p.ndirty.Add(1)
 	if p.baseApp == nil || pg.fresh {
 		return nil
 	}
@@ -572,8 +553,7 @@ type Appender interface {
 // stages the collected redo records as one WAL transaction at commit (or
 // executes the inverses and commits the compensations at abort). A nil
 // *Op is accepted everywhere and means "unlogged" (non-transactional
-// volume, or the page-image logging mode where the broadcast Txn capture
-// below does the work instead).
+// volume).
 type Op struct {
 	p   *Pager
 	app Appender
@@ -582,7 +562,7 @@ type Op struct {
 	recs     []redo.Record // redo and undo records, staging (= LSN) order
 	deferred []func(*Op) error
 
-	// ARIES bookkeeping (meaningful only with EnableSteal/EnableUndo):
+	// ARIES bookkeeping (meaningful only with EnableSteal):
 	nflushed  int              // prefix of recs already chunk-appended to the log
 	lastChunk uint64           // txid of the op's last flushed chunk (0 = none)
 	undoPrev  uint64           // LSN of the last staged undo record (prevLSN chain)
@@ -652,6 +632,11 @@ func (op *Op) AppendSys() error {
 func (op *Op) Records() []redo.Record {
 	op.mu.Lock()
 	defer op.mu.Unlock()
+	return op.pendingRedoLocked()
+}
+
+// pendingRedoLocked is Records with op.mu held.
+func (op *Op) pendingRedoLocked() []redo.Record {
 	pending := op.recs[op.nflushed:]
 	out := make([]redo.Record, 0, len(pending))
 	for _, r := range pending {
@@ -672,38 +657,18 @@ func (op *Op) Records() []redo.Record {
 func (p *Pager) SealOp(op *Op) ([]redo.Record, uint64) {
 	op.mu.Lock()
 	defer op.mu.Unlock()
-	pending := op.recs[op.nflushed:]
-	out := make([]redo.Record, 0, len(pending))
-	for _, r := range pending {
-		if redo.BaseKind(r.Kind) == redo.KindUndo {
-			continue
-		}
-		out = append(out, r)
-	}
 	op.finished = true
-	return out, op.lastChunk
-}
-
-// LastChunk returns the txid of the op's last flushed chunk (0 if its
-// records never left the op before commit). The volume passes it to the
-// commit's SetChain so recovery resolves the chunk chain. Nil-safe.
-func (op *Op) LastChunk() uint64 {
-	if op == nil {
-		return 0
-	}
-	op.mu.Lock()
-	defer op.mu.Unlock()
-	return op.lastChunk
+	return op.pendingRedoLocked(), op.lastChunk
 }
 
 // StageUndo captures the logical inverse of the mutation about to be
 // performed. body is an encoding from package undo; the record is
 // prefixed with the op's previous undo LSN (the ARIES prevLSN chain) and
-// interleaved with the redo records in LSN order. No-op when undo is
-// disabled, inside a rollback (CLRs are never undone), inside a
+// interleaved with the redo records in LSN order. No-op without steal
+// (see EnableSteal), inside a rollback (CLRs are never undone), inside a
 // suspended section, or in a system transaction. Nil-safe.
 func (op *Op) StageUndo(body []byte) {
-	if op == nil || !op.p.undoOn {
+	if op == nil || op.p.stealApp == nil {
 		return
 	}
 	op.mu.Lock()
@@ -723,7 +688,7 @@ func (op *Op) StageUndo(body []byte) {
 // anything — structure layers use it to skip expensive old-value reads
 // (overflow chains, extent data) when capture is off. Nil-safe.
 func (op *Op) UndoEnabled() bool {
-	if op == nil || !op.p.undoOn {
+	if op == nil || op.p.stealApp == nil {
 		return false
 	}
 	op.mu.Lock()
@@ -960,120 +925,7 @@ func (p *Pager) markDirtyStamp(pg *Page, op *Op, kind uint8) (uint64, *Op) {
 	if p.appendBase(base) && p.stealApp != nil {
 		p.noteAppended(pg.no, p.appendSeq.Add(1))
 	}
-	p.noteDirty(pg)
 	return lsn, dep
-}
-
-// --- per-transaction dirty capture (page-image logging mode) ---
-
-// Txn captures the pages dirtied while it is open, so a commit can log
-// exactly the pages its operation touched instead of scanning and
-// copying the whole cache's dirty set. Page images are copied at
-// MarkDirty time, under the mutator's own structure latch (B-tree lock,
-// extent lock, ...) — the only synchronization that actually guards the
-// page bytes — so a capture never observes a page mid-mutation and
-// logged images are never torn. Captures are conservative: while several
-// transactions are open concurrently, a page dirtied by any of them is
-// recorded in all of them (physical redo logging shares pages between
-// writers, so a commit must log the freshest image of every co-written
-// page, or a later commit could replay a stale image over a neighbour's
-// acknowledged change). The guarantee is per page, not per operation: a
-// capture can include one page of a concurrent writer's multi-page
-// mutation, so a crash in that window may recover a neighbour's partial
-// operation — see DESIGN.md's sharing caveat; true operation isolation
-// needs physiological logging, which page-image redo does not attempt.
-type Txn struct {
-	p     *Pager
-	mu    sync.Mutex
-	pages map[uint64][]byte // freshest captured image per page
-	done  bool
-}
-
-// BeginTxn opens a dirty-page capture. Every MarkDirty between BeginTxn
-// and WriteSet/Abort records the page image into this transaction.
-func (p *Pager) BeginTxn() *Txn {
-	t := &Txn{p: p, pages: make(map[uint64][]byte, 16)}
-	p.txnMu.Lock()
-	p.txns[t] = struct{}{}
-	p.txnMu.Unlock()
-	p.ntxns.Add(1)
-	return t
-}
-
-// noteDirty snapshots a just-dirtied page into every open capture: one
-// copy, taken while the MarkDirty caller still holds the structure latch
-// that serializes writers of this page, shared read-only by all
-// captures (buffers are never mutated after registration — the WAL and
-// every capture only read them). Txn.mu is leaf-level (never held while
-// taking a shard lock), so lock order is shard → registry → txn.
-func (p *Pager) noteDirty(pg *Page) {
-	if p.ntxns.Load() == 0 {
-		return
-	}
-	c := make([]byte, len(pg.data))
-	copy(c, pg.data)
-	p.txnMu.Lock()
-	for t := range p.txns {
-		t.mu.Lock()
-		if !t.done {
-			t.pages[pg.no] = c
-		}
-		t.mu.Unlock()
-	}
-	p.txnMu.Unlock()
-}
-
-func (p *Pager) endTxn(t *Txn) {
-	p.txnMu.Lock()
-	if _, ok := p.txns[t]; ok {
-		delete(p.txns, t)
-		p.ntxns.Add(-1)
-	}
-	p.txnMu.Unlock()
-}
-
-// WriteSet closes the capture and returns the captured page images. The
-// caller takes ownership of the map; the image buffers may be shared
-// with concurrent captures and must be treated as read-only.
-func (t *Txn) WriteSet() map[uint64][]byte {
-	t.mu.Lock()
-	t.done = true
-	out := t.pages
-	t.pages = nil
-	t.mu.Unlock()
-	t.p.endTxn(t)
-	return out
-}
-
-// Abort closes the capture without collecting images. The pages stay
-// dirty in the cache; they reach the device via a later transaction that
-// re-dirties them or via checkpoint/sync.
-func (t *Txn) Abort() {
-	t.mu.Lock()
-	t.done = true
-	t.pages = nil
-	t.mu.Unlock()
-	t.p.endTxn(t)
-}
-
-// DirtyPages returns the numbers and contents of all dirty pages.
-// Contents are copied so the caller may hold them across further
-// mutation. Commits no longer use this full-cache scan (they log
-// per-transaction write sets via BeginTxn); it remains for tests and
-// diagnostics.
-func (p *Pager) DirtyPages() map[uint64][]byte {
-	out := make(map[uint64][]byte)
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		for no, pg := range s.dirty {
-			c := make([]byte, len(pg.data))
-			copy(c, pg.data)
-			out[no] = c
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // FlushDirty writes every dirty page home and marks it clean. Callers
@@ -1095,17 +947,10 @@ func (p *Pager) FlushDirty() error {
 			pg.unflushed = 0
 			pg.lastXop = nil
 			delete(s.dirty, no)
-			p.ndirty.Add(-1)
 		}
 		s.mu.Unlock()
 	}
 	return nil
-}
-
-// DirtyCount returns the number of dirty cached pages. Lock-free: the
-// volume checks it on every commit for the checkpoint dirty high-water.
-func (p *Pager) DirtyCount() int {
-	return int(p.ndirty.Load())
 }
 
 // Invalidate drops the page from the cache without writing it back.
@@ -1127,7 +972,6 @@ func (p *Pager) Invalidate(no uint64) error {
 	delete(s.table, no)
 	if pg.dirty {
 		delete(s.dirty, no)
-		p.ndirty.Add(-1)
 	}
 	return nil
 }

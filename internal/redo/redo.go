@@ -15,8 +15,7 @@
 // Record kinds (these are also the WAL wire kinds; 2 and 3 are reserved
 // by the WAL for commit and checkpoint records):
 //
-//   - KindImage: Data is the full page image. The conservative fallback
-//     — used by the page-image logging mode and for first-touch base
+//   - KindImage: Data is the full page image. Used for first-touch base
 //     images.
 //   - KindRange: Data is a u32 page offset followed by the bytes written
 //     there. Idempotent absolute overwrite; used for pointer stitches,

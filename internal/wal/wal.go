@@ -6,19 +6,19 @@
 // requirement"); this package makes the decision measurable: the OSD can
 // run with the WAL on or off, and experiment E10 reports the overhead.
 //
-// Protocol (no-steal / no-force, group commit):
+// Protocol (steal / no-force, group commit):
 //
-//  1. During an operation, metadata pages are mutated only in the pager
-//     cache (the pager runs in no-steal mode, so nothing reaches home
-//     locations).
-//  2. At commit, the transaction's own dirty-page images (its write set,
-//     captured by the pager per transaction) are handed to the group
+//  1. During an operation, pages are mutated in the pager cache and each
+//     mutation stages an LSN-stamped redo record (and its logical undo).
+//     A dirty page reaches its home location early only by steal, after
+//     its records are appended as a mid-transaction chunk and synced.
+//  2. At commit, the operation's records are handed to the group
 //     committer: a leader drains the queue of pending commit batches,
-//     appends all their page images plus commit records in one contiguous
+//     appends all their records plus commit records in one contiguous
 //     write, and issues a single device sync that releases every waiter —
 //     N concurrent committers pay one sync.
-//  3. Pages are NOT forced home at commit. They stay dirty in the cache
-//     until a checkpoint (triggered in the background when the log passes
+//  3. Pages are NOT forced home at commit. Unless stolen, they stay dirty
+//     in the cache until a checkpoint (triggered in the background when the log passes
 //     a high-water mark, or by Sync/Close) flushes them and resets the
 //     log.
 //  4. Checkpoint records that all committed data is home, allowing the log
@@ -26,10 +26,10 @@
 //
 // Recovery replays the redo records of committed transactions in LSN
 // (mutation) order; torn or uncommitted tails are detected by CRC and
-// dropped. Physiological records (ranges, typed btree ops) carry a
-// non-zero LSN stamped at mutation time under the page latch; page-image
-// records from the image-logging mode carry LSN 0 and replay in log
-// order (the stable sort preserves it).
+// dropped. Redo records (first-touch base images, ranges, typed btree
+// and extent ops) carry a non-zero LSN stamped at mutation time under the
+// page latch; an image record with LSN 0 replays in log order (the stable
+// sort preserves it).
 //
 // Log record layout (little-endian), packed back to back across blocks:
 //
@@ -38,7 +38,7 @@
 //	[8]     kind (1=page image, 2=commit, 3=checkpoint, 4=range, 5=btree op, 6=extent op)
 //	[9:17]  txn id
 //	[17:25] page number (redo records)
-//	[25:33] lsn (redo records; 0 for image-mode records)
+//	[25:33] lsn (redo records; 0 for unstamped page images)
 //	[33:]   payload (redo records)
 //
 // A zero length+crc marks the end of the log.
@@ -244,19 +244,12 @@ func (l *Log) Begin() *Txn {
 	return &Txn{l: l}
 }
 
-// LogPage records the post-image of page no. The data is copied. Image
-// records carry LSN 0 and replay in log order (the image-logging mode).
+// LogPage records the post-image of page no. The data is copied. The
+// record carries LSN 0 and replays in log order.
 func (t *Txn) LogPage(no uint64, data []byte) {
 	c := make([]byte, len(data))
 	copy(c, data)
 	t.recs = append(t.recs, redo.Record{Page: no, Kind: redo.KindImage, Data: c})
-}
-
-// LogPageOwned records the post-image of page no without copying; the
-// caller hands over ownership of data (the volume's per-txn write sets
-// are already private copies, so a second copy here would be waste).
-func (t *Txn) LogPageOwned(no uint64, data []byte) {
-	t.recs = append(t.recs, redo.Record{Page: no, Kind: redo.KindImage, Data: data})
 }
 
 // LogRecord stages one physiological redo record (already LSN-stamped by
@@ -276,34 +269,9 @@ func (t *Txn) PageCount() int { return len(t.recs) }
 // does not fit in the remaining log space) the caller should checkpoint;
 // other batches in the same group are unaffected.
 func (t *Txn) Commit() error {
-	return t.commit(nil)
-}
-
-// CommitWith is Commit with the page images produced by fill, invoked
-// atomically with the transaction's queue insertion. Queue order is
-// append order is txid order, so a write set snapshotted inside fill can
-// never be enqueued AFTER a fresher image of one of its pages committed
-// with a smaller txid — the inversion that would let recovery replay a
-// stale image over an acknowledged update. Returns nil without logging
-// anything if fill stages no pages.
-func (t *Txn) CommitWith(fill func(*Txn)) error {
-	return t.commit(fill)
-}
-
-func (t *Txn) commit(fill func(*Txn)) error {
 	l := t.l
 	b := &gcBatch{txn: t}
 	l.gmu.Lock()
-	if fill != nil {
-		fill(t)
-		// A transaction with flushed chunks must still write its commit
-		// record even when nothing new is staged — the chain payload is
-		// what resolves the chunks as committed at recovery.
-		if len(t.recs) == 0 && t.chain == 0 {
-			l.gmu.Unlock()
-			return nil
-		}
-	}
 	l.gqueue = append(l.gqueue, b)
 	for !b.done && l.gbusy {
 		l.gcond.Wait()
